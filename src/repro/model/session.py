@@ -7,8 +7,9 @@ Two session flavours over the GEMM execution engine:
   workload).  Applies AWQ equalization scales to activations when the
   layer carries them, and records telemetry per execution.
 * :class:`InferenceSession` — a whole quantized decoder.  Precompiles
-  every layer's plan at construction, owns a
-  :class:`~repro.llm.transformer.KVCache`, and exposes
+  every layer's plan at construction, owns a 1-slot
+  :class:`~repro.llm.transformer.BatchedKVCache` (the same KV store and
+  decode core the serving layer batches over), and exposes
   :meth:`InferenceSession.prefill` / :meth:`InferenceSession.decode_step`
   / :meth:`InferenceSession.generate` (greedy and top-k sampling) so
   per-token cost is O(1) GEMM work instead of an O(seq) full
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro.engine import plan_gemm
 from repro.errors import ConfigError
-from repro.llm.transformer import Decoder, DecoderWeights, KVCache, TransformerConfig
+from repro.llm.transformer import Decoder, DecoderWeights, TransformerConfig
 from repro.model.policy import QuantizedModel
 from repro.simt.memoryhier import GemmShape
 
@@ -51,6 +52,17 @@ def check_tokens(tokens: np.ndarray, vocab: int) -> np.ndarray:
         raise ConfigError(f"token ids must be integers, got dtype {tokens.dtype}")
     if tokens.min() < 0 or tokens.max() >= vocab:
         raise ConfigError(f"token ids must lie in [0, {vocab})")
+    return tokens
+
+
+def check_prompt(tokens: np.ndarray, config: TransformerConfig) -> np.ndarray:
+    """:func:`check_tokens`, plus the model context window ``max_seq``."""
+    tokens = check_tokens(tokens, config.vocab)
+    if tokens.shape[0] > config.max_seq:
+        raise ConfigError(
+            f"prompt of {tokens.shape[0]} tokens exceeds the model "
+            f"context window max_seq={config.max_seq}"
+        )
     return tokens
 
 
@@ -298,7 +310,10 @@ class InferenceSession:
         self.decoder = Decoder(
             cfg, w, model, backend=backend, telemetry=self.telemetry
         )
-        self.cache: KVCache | None = None
+        #: One slot at the full ``max_seq`` capacity, reused by every
+        #: :meth:`prefill`.
+        self.cache = self.decoder.init_batched_cache(1)
+        self._slot = self.cache.allocate()
 
     @classmethod
     def from_checkpoint(cls, path, backend: str = "fast") -> "InferenceSession":
@@ -310,25 +325,27 @@ class InferenceSession:
     @property
     def position(self) -> int:
         """Tokens currently in the cache (0 before the first prefill)."""
-        return 0 if self.cache is None else self.cache.length
+        return int(self.cache.lengths[self._slot])
 
     def _check_tokens(self, tokens: np.ndarray) -> np.ndarray:
-        return check_tokens(tokens, self.config.vocab)
+        return check_prompt(tokens, self.config)
 
     def prefill(self, tokens: np.ndarray) -> np.ndarray:
-        """Start a new sequence; returns logits for every prompt position."""
+        """Start a new sequence; returns logits for every prompt position.
+
+        A rejected prompt leaves the current sequence in place.
+        """
         tokens = self._check_tokens(tokens)
-        self.cache = self.decoder.init_cache()
-        return self.decoder.prefill(tokens, self.cache)
+        self.cache.release(self._slot)
+        self._slot = self.cache.allocate()
+        return self.decoder.prefill_ragged([tokens], self.cache, [self._slot])[0]
 
     def decode_step(self, token: int) -> np.ndarray:
         """Append one token to the current sequence; returns its logits."""
-        if self.cache is None:
-            raise ConfigError("decode_step before prefill")
         token = int(token)
         if not 0 <= token < self.config.vocab:
             raise ConfigError(f"token ids must lie in [0, {self.config.vocab})")
-        return self.decoder.decode_step(token, self.cache)
+        return self.decoder.decode_batch([token], self.cache, [self._slot])[0]
 
     _select = staticmethod(select_token)
 

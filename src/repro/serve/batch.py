@@ -1,17 +1,17 @@
 """Multi-sequence serving sessions over the batched decode path.
 
 :class:`BatchedSession` is the serving counterpart of
-:class:`repro.model.InferenceSession`: instead of one
-:class:`~repro.llm.transformer.KVCache`, it owns a
-:class:`~repro.llm.transformer.BatchedKVCache` slot pool and steps all
-resident sequences lock-step through
+:class:`repro.model.InferenceSession`: where that session owns a 1-slot
+:class:`~repro.llm.transformer.BatchedKVCache`, this one owns a pool of
+``max_slots`` and steps all resident sequences lock-step through
 :meth:`~repro.llm.transformer.Decoder.decode_batch`, so each decode
 step issues **one** GEMM per weight matrix with ``m = active slots``
 rows — the amortization the engine's ``batched`` backend exists for.
 Admission is a ragged prefill (:meth:`join`), retirement frees the
 slot (:meth:`retire`), and every sequence's logits stay bit-identical
-to decoding it alone (see the transformer module docstring for the
-row-independence argument).
+to :meth:`~repro.llm.transformer.Decoder.forward` on that sequence
+(see the transformer module docstring for the row-independence
+argument).
 
 Prefix reuse and chunked prefill
 --------------------------------
@@ -48,7 +48,7 @@ from repro.llm.transformer import (
     TransformerConfig,
 )
 from repro.model.policy import QuantizedModel
-from repro.model.session import Telemetry, check_tokens
+from repro.model.session import Telemetry, check_prompt, check_tokens
 from repro.serve.prefix import RadixPrefixCache
 
 
@@ -140,15 +140,6 @@ class BatchedSession:
         """Tokens currently cached in ``slot``."""
         return int(self.cache.lengths[slot])
 
-    def _check_prompt(self, prompt: np.ndarray) -> np.ndarray:
-        prompt = check_tokens(prompt, self.config.vocab)
-        if prompt.shape[0] > self.context_window:
-            raise ConfigError(
-                f"prompt of {prompt.shape[0]} tokens exceeds the model "
-                f"context window max_seq={self.context_window}"
-            )
-        return prompt
-
     def admit(self, prompt: np.ndarray, seed: bool = True) -> tuple[int, int]:
         """Allocate a slot for ``prompt``, seeded from the prefix cache.
 
@@ -162,7 +153,7 @@ class BatchedSession:
         late as possible, after earlier residents have recorded the
         prefix.
         """
-        prompt = self._check_prompt(prompt)
+        prompt = check_prompt(prompt, self.config)
         if self.cache.free_slots < 1:
             raise ConfigError(
                 f"cannot admit a prompt: all {self.max_slots} slots in use"
@@ -246,7 +237,7 @@ class BatchedSession:
             raise ConfigError("join needs at least one prompt")
         if prefill_chunk is not None and prefill_chunk < 1:
             raise ConfigError("prefill_chunk must be >= 1 token")
-        checked = [self._check_prompt(p) for p in prompts]
+        checked = [check_prompt(p, self.config) for p in prompts]
         if len(checked) > self.cache.free_slots:
             raise ConfigError(
                 f"cannot join {len(checked)} prompts: only "
@@ -293,8 +284,8 @@ class BatchedSession:
         """Append ``tokens[i]`` to ``slots[i]``; returns ``[batch, vocab]``.
 
         One GEMM per weight matrix for the whole batch; row ``i`` is
-        bit-identical to single-sequence ``decode_step`` on that slot's
-        sequence.
+        bit-identical to the last row of ``Decoder.forward`` over that
+        slot's sequence.
         """
         tokens = check_tokens(np.asarray(tokens), self.config.vocab)
         return self.decoder.decode_batch(tokens, self.cache, list(slots))

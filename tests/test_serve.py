@@ -93,7 +93,7 @@ class TestBatchedKVCache:
 
 
 class TestBitIdentity:
-    """Batched multi-sequence decode == single-sequence decode, per row."""
+    """Batched multi-sequence decode == the sequence's own forward, per row."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_ragged_prefill_matches_single(self, setup, backend):
@@ -102,10 +102,7 @@ class TestBitIdentity:
         rng = np.random.default_rng(0)
         sizes = (3, 5) if backend == "bitexact" else (5, 9, 3, 12)
         prompts = [rng.integers(0, config.vocab, size=n) for n in sizes]
-        singles = []
-        for prompt in prompts:
-            cache = decoder.init_cache()
-            singles.append(decoder.prefill(prompt, cache))
+        singles = [decoder.forward(prompt) for prompt in prompts]
         batched_cache = decoder.init_batched_cache(len(prompts), capacity=16)
         slots = [batched_cache.allocate() for _ in prompts]
         ragged = decoder.prefill_ragged(prompts, batched_cache, slots)
@@ -120,12 +117,7 @@ class TestBitIdentity:
         steps = 2 if backend == "bitexact" else 5
         sizes = (3, 4) if backend == "bitexact" else (5, 9, 3)
         prompts = [rng.integers(0, config.vocab, size=n) for n in sizes]
-        single_caches = []
-        last = []
-        for prompt in prompts:
-            cache = decoder.init_cache()
-            last.append(decoder.prefill(prompt, cache)[-1])
-            single_caches.append(cache)
+        seqs = [list(prompt) for prompt in prompts]
         batched_cache = decoder.init_batched_cache(len(prompts), capacity=16)
         slots = [batched_cache.allocate() for _ in prompts]
         ragged = decoder.prefill_ragged(prompts, batched_cache, slots)
@@ -134,7 +126,8 @@ class TestBitIdentity:
             tokens = [int(np.argmax(row)) for row in batch_last]
             batch = decoder.decode_batch(tokens, batched_cache, slots)
             for i, token in enumerate(tokens):
-                single = decoder.decode_step(token, single_caches[i])
+                seqs[i].append(token)
+                single = decoder.forward(np.asarray(seqs[i]))[-1]
                 assert np.array_equal(batch[i], single), (backend, i, step)
             batch_last = list(batch)
 
@@ -144,28 +137,23 @@ class TestBitIdentity:
         decoder = Decoder(config, weights, qmodel, backend="fast")
         rng = np.random.default_rng(2)
         prompts = [rng.integers(0, config.vocab, size=n) for n in (6, 4, 8)]
-        caches = []
-        for prompt in prompts:
-            cache = decoder.init_cache()
-            decoder.prefill(prompt, cache)
-            caches.append(cache)
+        seqs = [list(prompt) for prompt in prompts]
         batched_cache = decoder.init_batched_cache(3, capacity=16)
         slots = [batched_cache.allocate() for _ in prompts]
         decoder.prefill_ragged(prompts, batched_cache, slots)
         decoder.decode_batch([1, 2, 3], batched_cache, slots)
         for i, token in enumerate((1, 2, 3)):
-            decoder.decode_step(token, caches[i])
+            seqs[i].append(token)
         # retire the middle sequence; the survivors keep decoding exactly
         batched_cache.release(slots[1])
         batch = decoder.decode_batch([4, 5], batched_cache, [slots[0], slots[2]])
-        assert np.array_equal(batch[0], decoder.decode_step(4, caches[0]))
-        assert np.array_equal(batch[1], decoder.decode_step(5, caches[2]))
+        assert np.array_equal(batch[0], decoder.forward(np.asarray(seqs[0] + [4]))[-1])
+        assert np.array_equal(batch[1], decoder.forward(np.asarray(seqs[2] + [5]))[-1])
         # a new sequence joins in the freed slot
         joined = rng.integers(0, config.vocab, size=5)
         slot = batched_cache.allocate()
         assert slot == slots[1]
-        fresh = decoder.init_cache()
-        expect = decoder.prefill(joined, fresh)
+        expect = decoder.forward(joined)
         got = decoder.prefill_ragged([joined], batched_cache, [slot])
         assert np.array_equal(got[0], expect)
 
@@ -174,15 +162,54 @@ class TestBitIdentity:
         config, weights, qmodel = setup
         decoder = Decoder(config, weights, qmodel, backend="fast")
         prompt = np.arange(6) % config.vocab
-        single = decoder.init_cache()
-        decoder.prefill(prompt, single)
+        seq = list(prompt)
         cache = decoder.init_batched_cache(1, capacity=7)
         slot = cache.allocate()
         decoder.prefill_ragged([prompt], cache, [slot])
         for token in (1, 2, 3):  # crosses capacity 7 -> grows to 14
             batch = decoder.decode_batch([token], cache, [slot])
-            assert np.array_equal(batch[0], decoder.decode_step(token, single))
+            seq.append(token)
+            assert np.array_equal(batch[0], decoder.forward(np.asarray(seq))[-1])
         assert cache.capacity == 14
+
+
+class TestRejectedCallLeavesCache:
+    """Every check runs before the pool can grow: a rejected call
+    leaves capacity, per-slot lengths and the free list as they were."""
+
+    CALLS = {
+        "slot not empty": lambda d, c, a, b, n: d.prefill_ragged(
+            [np.zeros(8, np.int64), np.zeros(2, np.int64)], c, [a, b]),
+        "duplicate slots": lambda d, c, a, b, n: d.prefill_ragged(
+            [np.zeros(8, np.int64), np.zeros(2, np.int64)], c, [a, a]),
+        "misaligned": lambda d, c, a, b, n: d.prefill_ragged(
+            [np.zeros(8, np.int64)], c, [a, b]),
+        "slot out of range": lambda d, c, a, b, n: d.prefill_ragged(
+            [np.zeros(8, np.int64), np.zeros(2, np.int64)], c, [a, 7]),
+        "past max_seq": lambda d, c, a, b, n: d.prefill_ragged(
+            [np.zeros(8, np.int64), np.zeros(n, np.int64)], c, [a, b],
+            resume=True),
+        "decode unprefilled": lambda d, c, a, b, n: d.decode_batch(
+            [1, 2], c, [b, a]),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rejected_call_leaves_cache_unchanged(self, setup, call):
+        config, weights, qmodel = setup
+        decoder = Decoder(config, weights, qmodel, backend="fast")
+        cache = decoder.init_batched_cache(3, capacity=4)
+        a, b = cache.allocate(), cache.allocate()
+        # b fills the capacity exactly, so any step on it must grow
+        decoder.prefill_ragged([np.arange(4) % config.vocab], cache, [b])
+        before = (cache.capacity, cache.lengths.copy(), cache.active_slots,
+                  cache.free_slots)
+        with pytest.raises(ConfigError):
+            self.CALLS[call](decoder, cache, a, b, config.max_seq)
+        after = (cache.capacity, cache.lengths, cache.active_slots,
+                 cache.free_slots)
+        assert before[0] == after[0] == 4
+        assert np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
 
 
 class TestBatchedSession:

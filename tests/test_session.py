@@ -8,7 +8,6 @@ from repro.llm.bigram import make_bigram_lm
 from repro.llm.perplexity import evaluate_perplexity
 from repro.llm.transformer import (
     Decoder,
-    KVCache,
     TransformerConfig,
     init_weights,
     quantize_weights,
@@ -35,8 +34,14 @@ def setup():
     return config, weights, tokens, qmodel
 
 
+def one_slot(decoder):
+    """A 1-slot cache at the full context window, and its slot."""
+    cache = decoder.init_batched_cache(1)
+    return cache, cache.allocate()
+
+
 class TestKvCacheBitIdentity:
-    """prefill + N x decode_step must equal forward bit-for-bit."""
+    """A 1-slot prefill + N decode steps must equal forward bit-for-bit."""
 
     #: Engine backends whose kernels compute each activation row
     #: independently of the batch ("reference" is BLAS-backed and
@@ -50,11 +55,11 @@ class TestKvCacheBitIdentity:
         toks = tokens[:n]
         decoder = Decoder(config, weights, qmodel, backend=backend)
         full = decoder.forward(toks)
-        cache = decoder.init_cache()
-        prefill = decoder.prefill(toks[:3], cache)
+        cache, slot = one_slot(decoder)
+        prefill = decoder.prefill_ragged([toks[:3]], cache, [slot])[0]
         assert np.array_equal(prefill, full[:3])
         for i, token in enumerate(toks[3:]):
-            step = decoder.decode_step(int(token), cache)
+            step = decoder.decode_batch([int(token)], cache, [slot])[0]
             assert np.array_equal(step, full[3 + i]), (backend, i)
 
     def test_single_token_prefill_and_long_offsets(self, setup):
@@ -63,21 +68,22 @@ class TestKvCacheBitIdentity:
         config, weights, tokens, qmodel = setup
         decoder = Decoder(config, weights, qmodel, backend="fast")
         full = decoder.forward(tokens)
-        cache = decoder.init_cache()
-        decoder.prefill(tokens[:1], cache)
+        cache, slot = one_slot(decoder)
+        decoder.prefill_ragged([tokens[:1]], cache, [slot])
         for i, token in enumerate(tokens[1:]):
-            step = decoder.decode_step(int(token), cache)
+            step = decoder.decode_batch([int(token)], cache, [slot])[0]
             assert np.array_equal(step, full[1 + i])
 
     def test_fp16_fallback_path(self, setup):
         config, weights, tokens, _ = setup
         decoder = Decoder(config, weights)  # no quantized layers at all
         full = decoder.forward(tokens)
-        cache = decoder.init_cache()
-        decoder.prefill(tokens[:5], cache)
+        cache, slot = one_slot(decoder)
+        decoder.prefill_ragged([tokens[:5]], cache, [slot])
         for i, token in enumerate(tokens[5:]):
             assert np.array_equal(
-                decoder.decode_step(int(token), cache), full[5 + i]
+                decoder.decode_batch([int(token)], cache, [slot])[0],
+                full[5 + i],
             )
 
     def test_partial_quantization_path(self, setup):
@@ -86,30 +92,38 @@ class TestKvCacheBitIdentity:
         only_attn = {k: v for k, v in q.items() if ".w" in k and "w_" not in k}
         decoder = Decoder(config, weights, only_attn)
         full = decoder.forward(tokens)
-        cache = decoder.init_cache()
-        decoder.prefill(tokens[:4], cache)
+        cache, slot = one_slot(decoder)
+        decoder.prefill_ragged([tokens[:4]], cache, [slot])
         for i, token in enumerate(tokens[4:]):
             assert np.array_equal(
-                decoder.decode_step(int(token), cache), full[4 + i]
+                decoder.decode_batch([int(token)], cache, [slot])[0],
+                full[4 + i],
             )
 
     def test_cache_misuse_rejected(self, setup):
         config, weights, tokens, qmodel = setup
         decoder = Decoder(config, weights, qmodel)
-        cache = decoder.init_cache()
+        cache, slot = one_slot(decoder)
         with pytest.raises(ConfigError):
-            decoder.decode_step(1, cache)  # decode before prefill
-        decoder.prefill(tokens[:3], cache)
+            decoder.decode_batch([1], cache, [slot])  # decode before prefill
+        decoder.prefill_ragged([tokens[:3]], cache, [slot])
         with pytest.raises(ConfigError):
-            decoder.prefill(tokens[:3], cache)  # prefill into used cache
+            # prefill into used cache
+            decoder.prefill_ragged([tokens[:3]], cache, [slot])
 
     def test_cache_capacity_enforced(self, setup):
-        config, weights, tokens, qmodel = setup
+        # The pool grows on demand up to the context window, and no
+        # further: a full slot rejects the next token untouched.
+        config, weights, _, qmodel = setup
         decoder = Decoder(config, weights, qmodel)
-        cache = KVCache(config, capacity=4)
-        decoder.prefill(tokens[:4], cache)
-        with pytest.raises(ConfigError):
-            decoder.decode_step(1, cache)
+        cache = decoder.init_batched_cache(1, capacity=4)
+        slot = cache.allocate()
+        full = np.arange(config.max_seq) % config.vocab
+        decoder.prefill_ragged([full], cache, [slot])
+        assert cache.capacity == config.max_seq
+        with pytest.raises(ConfigError, match=f"max_seq={config.max_seq}"):
+            decoder.decode_batch([1], cache, [slot])
+        assert cache.lengths[slot] == config.max_seq
 
 
 class TestInferenceSession:
@@ -149,6 +163,44 @@ class TestInferenceSession:
         fresh = InferenceSession(qmodel)
         with pytest.raises(ConfigError):
             fresh.decode_step(1)  # before any prefill
+
+    def test_context_limit_edges(self, setup):
+        """Prompts and steps past max_seq, and a step before any
+        prefill, are rejected without moving the session."""
+        config, weights, tokens, qmodel = setup
+        session = InferenceSession(qmodel)
+        with pytest.raises(ConfigError):
+            session.decode_step(1)  # before any prefill
+        assert session.position == 0
+
+        session.prefill(tokens[:3])
+        too_long = np.arange(config.max_seq + 1) % config.vocab
+        with pytest.raises(ConfigError, match=f"max_seq={config.max_seq}"):
+            session.prefill(too_long)
+        assert session.position == 3
+        # the rejected prompt left the resident sequence decodable
+        expect = Decoder(config, weights, qmodel).forward(tokens[:4])[-1]
+        assert np.array_equal(session.decode_step(int(tokens[3])), expect)
+
+        session.prefill(np.arange(config.max_seq) % config.vocab)
+        with pytest.raises(ConfigError, match=f"max_seq={config.max_seq}"):
+            session.decode_step(1)
+        assert session.position == config.max_seq
+
+    def test_generate_reuses_slot(self, setup):
+        """Back-to-back generate calls on one session match fresh
+        sessions: the reused slot carries nothing over."""
+        _, _, tokens, qmodel = setup
+        session = InferenceSession(qmodel)
+        first = session.generate(tokens[:9], 6)
+        second = session.generate(tokens[3:7], 5, top_k=4, seed=2)
+        assert np.array_equal(
+            first.tokens, InferenceSession(qmodel).generate(tokens[:9], 6).tokens
+        )
+        assert np.array_equal(
+            second.tokens,
+            InferenceSession(qmodel).generate(tokens[3:7], 5, top_k=4, seed=2).tokens,
+        )
 
     def test_decode_step_validates_token_range(self, setup):
         config, _, tokens, qmodel = setup
